@@ -2,8 +2,8 @@
 //
 // Every summary in the library is built from associative operators: the
 // weighted coreset union (disSS's server union, the streaming
-// merge-and-reduce carry) and the PCA summary stack (disPCA's Y-matrix,
-// Frequent-Directions sketch append). Associativity is what lets an
+// merge-and-reduce carry) and the PCA summary stack (disPCA's Y-matrix
+// append). Associativity is what lets an
 // intermediate gateway (net/tree_fabric.hpp) reduce its children's
 // frames in flight and forward one merged frame without changing the
 // final model — but only if the gateway runs the *same* merge code the

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <random>
+
+#include "kmeans/assign.hpp"
+#include "kmeans/lloyd.hpp"
 
 namespace ekm {
 
@@ -107,51 +109,10 @@ std::vector<Dataset> partition_noniid(const Dataset& data, std::size_t m,
 
   // Coarse grouping: D²-seeded centers, nearest-center assignment. This
   // plays the role of "labels" for the skewed shard draw.
-  std::vector<std::size_t> group(data.size(), 0);
-  {
-    // Inline D² seeding to avoid a dependency on ekm_kmeans.
-    const std::size_t g = std::min(skew_clusters, data.size());
-    std::vector<std::size_t> centers;
-    std::uniform_int_distribution<std::size_t> pick(0, data.size() - 1);
-    centers.push_back(pick(rng));
-    std::vector<double> d2(data.size());
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      d2[i] = squared_distance(data.point(i), data.point(centers[0]));
-    }
-    std::uniform_real_distribution<double> unif(0.0, 1.0);
-    while (centers.size() < g) {
-      double total = 0.0;
-      for (double v : d2) total += v;
-      std::size_t next = data.size() - 1;
-      if (total > 0.0) {
-        double r = unif(rng) * total;
-        for (std::size_t i = 0; i < data.size(); ++i) {
-          r -= d2[i];
-          if (r <= 0.0) {
-            next = i;
-            break;
-          }
-        }
-      } else {
-        next = pick(rng);
-      }
-      centers.push_back(next);
-      for (std::size_t i = 0; i < data.size(); ++i) {
-        d2[i] = std::min(d2[i],
-                         squared_distance(data.point(i), data.point(next)));
-      }
-    }
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      double best = std::numeric_limits<double>::infinity();
-      for (std::size_t c = 0; c < centers.size(); ++c) {
-        const double dist = squared_distance(data.point(i), data.point(centers[c]));
-        if (dist < best) {
-          best = dist;
-          group[i] = c;
-        }
-      }
-    }
-  }
+  const Matrix centers =
+      kmeanspp_seed(data, std::min(skew_clusters, data.size()), rng);
+  const std::vector<std::size_t> group =
+      assign_batch(data.points(), centers).index;
 
   // Per-group Dirichlet(alpha) source proportions, then a categorical
   // draw per point.

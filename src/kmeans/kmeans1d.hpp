@@ -4,6 +4,7 @@
 // quantizers), and an exact polynomial-time oracle in 1-D is invaluable
 // for testing the heuristic solvers: the general problem is NP-hard
 // (§1 of the paper, refs [8][9]) but the line is easy.
+// No pipeline calls it: it is the oracle the solver tests compare against.
 #pragma once
 
 #include <span>

@@ -18,11 +18,11 @@
 // every input is final: delivered, or known-expired. With overlap off
 // the server learns of a miss only when the round deadline passes —
 // the PR 3/4 behavior — so one straggler pins every barrier to its
-// full deadline. With overlap on (SimNetwork::set_phase_overlap,
-// scenario key `overlap=`), a sender-side expiry is NAK'd to the
-// server out-of-band (one control-frame latency, no payload airtime,
-// nothing billed), the barrier commits at the last *final* input
-// instead of the cutoff, and every downstream task — the broadcast,
+// full deadline. With overlap on (RoundPolicy::overlap, scenario key
+// `overlap=`), a sender-side expiry is NAK'd to the server out-of-band
+// (one control-frame latency, no payload airtime, nothing billed), the
+// barrier commits at the last *final* input instead of the cutoff, and
+// every downstream task — the broadcast,
 // the fast sites' next-phase compute, their uplinks — starts that much
 // earlier in virtual time while the straggler's own timeline still
 // runs. Merge barriers stay committed-only: nothing is aggregated

@@ -249,18 +249,6 @@ class SimNetwork final : public Fabric {
     return queue_.high_water();
   }
 
-  /// Phase-overlap scheduling (RoundPolicy::overlap; scheduler.hpp has
-  /// the model): when on, a sender-side uplink expiry inside a finite
-  /// round is NAK'd to the server out-of-band — the server learns of
-  /// the miss at `abandon + per-frame latency` (clamped to the round
-  /// cutoff) instead of waiting the round out, so merge barriers
-  /// commit the moment every frame's fate is final. The NAK is a
-  /// control-plane frame: no payload airtime, no energy, nothing on
-  /// any ledger. Initialized from the scenario; the Coordinator may
-  /// override it from PipelineConfig::overlap_phases.
-  void set_phase_overlap(bool on) { overlap_ = on; }
-  [[nodiscard]] bool phase_overlap() const { return overlap_; }
-
   /// Misses of reallocation-wave frames (see LinkStats::supplemental):
   /// counted inside missed_frames() but losing no data. Exact data
   /// loss is missed_frames() - supplemental_misses().
@@ -419,7 +407,7 @@ class SimNetwork final : public Fabric {
   RoundId current_round_ = kNoRound;  ///< latest open_round handle;
                                       ///< tags new uplink frames
 
-  bool overlap_ = false;     ///< phase-overlap commit rule (see above)
+  bool overlap_ = false;     ///< RoundPolicy::overlap: expiry NAKs
   bool pipelining_ = false;  ///< predicted-arrival NAKs (see above)
   std::uint64_t missed_frames_ = 0;
   std::uint64_t supplemental_misses_ = 0;

@@ -1,14 +1,11 @@
-// Tests for src/net: channel FIFO semantics, traffic ledgers, and the
-// summary wire codecs (round-trip exactness + billing).
+// Tests for src/net: channel FIFO semantics, traffic ledgers, link-model
+// airtime and energy, and the summary wire codecs (round-trip exactness +
+// billing).
 #include <gtest/gtest.h>
 
 #include "net/channel.hpp"
 #include "net/link_model.hpp"
 #include "net/summary_codec.hpp"
-#include "net/coreset_io.hpp"
-
-#include <filesystem>
-#include <fstream>
 
 namespace ekm {
 namespace {
@@ -70,6 +67,25 @@ TEST(LinkModel, RoundTripHelpers) {
   // A zeroed downlink ledger degrades to the one-way figures.
   EXPECT_DOUBLE_EQ(link.round_trip_seconds(up, TrafficLedger{}),
                    link.transfer_seconds(up));
+}
+
+TEST(LinkModel, TransferTimeAndEnergy) {
+  TrafficLedger t;
+  t.bits = 1'000'000;
+  t.messages = 10;
+  const LinkModel wifi = wifi_link();
+  // 1 Mbit at 50 Mbps = 0.02 s + 10 * 2 ms latency = 0.04 s.
+  EXPECT_NEAR(wifi.transfer_seconds(t), 0.02 + 0.02, 1e-9);
+  EXPECT_NEAR(wifi.transfer_joules(t), 1e6 * 5e-9, 1e-12);
+}
+
+TEST(LinkModel, RadioClassOrdering) {
+  TrafficLedger t;
+  t.bits = 8'000'000;
+  t.messages = 4;
+  EXPECT_GT(lora_link().transfer_seconds(t), ble_link().transfer_seconds(t));
+  EXPECT_GT(ble_link().transfer_seconds(t), wifi_link().transfer_seconds(t));
+  EXPECT_GT(wifi_link().transfer_seconds(t), nr5g_link().transfer_seconds(t));
 }
 
 TEST(Channel, IsAPort) {
@@ -185,35 +201,6 @@ TEST(Codec, TruncatedFrameThrows) {
   Message msg = encode_matrix(Matrix(2, 2));
   msg.payload.resize(msg.payload.size() / 2);
   EXPECT_THROW((void)decode_matrix(msg), precondition_error);
-}
-
-TEST(CoresetIo, SaveLoadRoundTrip) {
-  Coreset cs;
-  Rng rng = make_rng(910);
-  cs.points = Dataset(Matrix::gaussian(12, 5, rng),
-                      {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12});
-  cs.delta = 3.5;
-  cs.basis = Matrix::gaussian(5, 20, rng);
-  const auto path = std::filesystem::temp_directory_path() / "ekm_cs.bin";
-  save_coreset(cs, path);
-  const Coreset back = load_coreset(path);
-  EXPECT_EQ(back.points.points(), cs.points.points());
-  EXPECT_DOUBLE_EQ(back.points.weight(11), 12.0);
-  EXPECT_DOUBLE_EQ(back.delta, 3.5);
-  ASSERT_TRUE(back.basis.has_value());
-  EXPECT_EQ(*back.basis, *cs.basis);
-  std::filesystem::remove(path);
-}
-
-TEST(CoresetIo, RejectsCorruptFiles) {
-  const auto path = std::filesystem::temp_directory_path() / "ekm_bad.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "this is not a coreset file at all............";
-  }
-  EXPECT_THROW((void)load_coreset(path), precondition_error);
-  EXPECT_THROW((void)load_coreset("/nonexistent/x.bin"), std::runtime_error);
-  std::filesystem::remove(path);
 }
 
 TEST(Codec, RandomBytesNeverCrashDecoders) {

@@ -1,124 +1,15 @@
-// Tests for the additional k-means solvers: Elkan (accelerated exact
-// Lloyd), mini-batch, and the exact 1-D dynamic program.
+// Tests for the exact 1-D k-means dynamic program, the oracle the
+// production Lloyd solver is checked against.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <random>
 
-#include "data/generators.hpp"
 #include "kmeans/cost.hpp"
-#include "kmeans/elkan.hpp"
 #include "kmeans/kmeans1d.hpp"
 #include "kmeans/lloyd.hpp"
-#include "kmeans/minibatch.hpp"
 
 namespace ekm {
 namespace {
-
-Dataset mixture(std::size_t n, std::size_t dim, std::size_t k,
-                std::uint64_t seed, double separation = 8.0) {
-  Rng rng = make_rng(seed);
-  GaussianMixtureSpec spec;
-  spec.n = n;
-  spec.dim = dim;
-  spec.k = k;
-  spec.separation = separation;
-  return make_gaussian_mixture(spec, rng);
-}
-
-class ElkanVsLloyd : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(ElkanVsLloyd, SameQualityFixedPoints) {
-  const std::size_t k = GetParam();
-  const Dataset d = mixture(600, 12, k, 300 + k);
-  KMeansOptions opts;
-  opts.k = k;
-  opts.max_iters = 100;
-  opts.restarts = 1;
-  opts.seed = 5;
-
-  Rng r1 = make_rng(5, 0);
-  const Matrix seeds = kmeanspp_seed(d, k, r1);
-  const KMeansResult plain = lloyd(d, seeds, opts);
-  std::uint64_t evals = 0;
-  const KMeansResult fast = elkan(d, seeds, opts, &evals);
-
-  // Same seeding => equally good local optimum (costs agree tightly;
-  // tie-breaking may differ on equidistant points).
-  EXPECT_NEAR(fast.cost, plain.cost, 1e-6 * (1.0 + plain.cost));
-  // Pruning must actually prune: far fewer than n*k*iters distances.
-  const std::uint64_t naive =
-      static_cast<std::uint64_t>(d.size()) * k *
-      static_cast<std::uint64_t>(fast.iterations + 1);
-  EXPECT_LT(evals, naive);
-}
-
-INSTANTIATE_TEST_SUITE_P(Ks, ElkanVsLloyd,
-                         ::testing::Values<std::size_t>(2, 4, 8, 16));
-
-TEST(Elkan, PruningSavesDistancesOnSeparatedData) {
-  const Dataset d = mixture(2000, 16, 8, 310, /*separation=*/20.0);
-  KMeansOptions opts;
-  opts.k = 8;
-  opts.max_iters = 50;
-  Rng rng = make_rng(7, 0);
-  const Matrix seeds = kmeanspp_seed(d, 8, rng);
-  std::uint64_t evals = 0;
-  const KMeansResult res = elkan(d, seeds, opts, &evals);
-  // Well-separated clusters: most points never touch most centers after
-  // the first pass; expect < 40% of naive distance evaluations.
-  const double naive = static_cast<double>(d.size()) * 8.0 *
-                       static_cast<double>(res.iterations + 1);
-  EXPECT_LT(static_cast<double>(evals), 0.4 * naive);
-}
-
-TEST(Elkan, WeightedDataSupported) {
-  const Dataset d(Matrix{{0.0}, {1.0}, {10.0}, {11.0}}, {3.0, 1.0, 1.0, 3.0});
-  KMeansOptions opts;
-  opts.k = 2;
-  const KMeansResult res = kmeans_elkan(d, opts);
-  // Weighted centroids: (3*0+1)/4 = 0.25 and (10+3*11)/4 = 10.75.
-  std::vector<double> centers{res.centers(0, 0), res.centers(1, 0)};
-  std::sort(centers.begin(), centers.end());
-  EXPECT_NEAR(centers[0], 0.25, 1e-9);
-  EXPECT_NEAR(centers[1], 10.75, 1e-9);
-}
-
-TEST(MiniBatch, ConvergesNearLloydOnEasyData) {
-  const Dataset d = mixture(2000, 8, 4, 320, /*separation=*/15.0);
-  KMeansOptions lopts;
-  lopts.k = 4;
-  lopts.seed = 9;
-  const double lloyd_cost = kmeans(d, lopts).cost;
-
-  MiniBatchOptions mopts;
-  mopts.k = 4;
-  mopts.batch_size = 64;
-  mopts.iterations = 300;
-  mopts.seed = 10;
-  const KMeansResult mb = kmeans_minibatch(d, mopts);
-  EXPECT_LT(mb.cost, 1.2 * lloyd_cost);
-}
-
-TEST(MiniBatch, RespectsWeights) {
-  // Two values; one carries 99% of the weight — its cluster center must
-  // sit essentially on it even with k=1.
-  const Dataset d(Matrix{{0.0}, {10.0}}, {99.0, 1.0});
-  MiniBatchOptions opts;
-  opts.k = 1;
-  opts.batch_size = 16;
-  opts.iterations = 400;
-  const KMeansResult res = kmeans_minibatch(d, opts);
-  EXPECT_LT(res.centers(0, 0), 2.0);
-}
-
-TEST(MiniBatch, ValidatesOptions) {
-  const Dataset d(Matrix{{1.0}});
-  MiniBatchOptions opts;
-  opts.iterations = 0;
-  EXPECT_THROW((void)kmeans_minibatch(d, opts), precondition_error);
-}
 
 TEST(KMeans1d, KnownOptimum) {
   // {0, 1, 10, 11}, k=2: split {0,1} | {10,11}, cost 0.5 + 0.5 = 1.

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <random>
 #include <string>
@@ -17,7 +16,6 @@
 #include "common/parallel.hpp"
 #include "cr/merge.hpp"
 #include "data/generators.hpp"
-#include "linalg/frequent_directions.hpp"
 #include "net/topology.hpp"
 #include "sim/coordinator.hpp"
 #include "sim/scenario.hpp"
@@ -119,48 +117,6 @@ TEST(Merge, UnionSkipsEmptiesAndConcatenatesInOrder) {
   EXPECT_EQ(merge_union({}).size(), 0u);
   std::vector<Dataset> empties(3);
   EXPECT_EQ(merge_union(std::move(empties)).size(), 0u);
-}
-
-TEST(Merge, FrequentDirectionsMergeOrderInvariantWithinBound) {
-  const std::size_t d = 6, l = 8;
-  Rng rng = make_rng(41, 0xfdULL);
-  std::normal_distribution<double> normal;
-  FrequentDirections fd_a(l, d), fd_b(l, d);
-  double stream_norm2 = 0.0;
-  std::vector<double> row(d);
-  for (std::size_t i = 0; i < 64; ++i) {
-    for (double& x : row) x = normal(rng);
-    for (double x : row) stream_norm2 += x * x;
-    (i % 2 == 0 ? fd_a : fd_b).insert(row);
-  }
-
-  FrequentDirections ab = fd_a, ba = fd_b;
-  FrequentDirections a2 = fd_a, b2 = fd_b;
-  ab.merge(b2);
-  ba.merge(a2);
-
-  // Both merge orders sketch the same 64-row stream, so their Gram
-  // matrices agree within the additive FD bound ||A||_F^2 / l per
-  // sketch (2/l combined, times sqrt(d) to pass to Frobenius norm).
-  Matrix sa = ab.sketch();
-  Matrix sb = ba.sketch();
-  double diff2 = 0.0;
-  for (std::size_t r = 0; r < d; ++r) {
-    for (std::size_t c = 0; c < d; ++c) {
-      double ga = 0.0, gb = 0.0;
-      for (std::size_t i = 0; i < sa.rows(); ++i) ga += sa(i, r) * sa(i, c);
-      for (std::size_t i = 0; i < sb.rows(); ++i) gb += sb(i, r) * sb(i, c);
-      diff2 += (ga - gb) * (ga - gb);
-    }
-  }
-  const double bound = 2.0 * std::sqrt(static_cast<double>(d)) *
-                       stream_norm2 / static_cast<double>(l);
-  EXPECT_LE(std::sqrt(diff2), bound);
-
-  // The same fold order replayed is bitwise stable.
-  FrequentDirections ab2 = fd_a, b3 = fd_b;
-  ab2.merge(b3);
-  EXPECT_EQ(ab2.sketch(), sa);
 }
 
 TEST(TreeTopology, ShapeArithmeticAndDeadlineSplit) {

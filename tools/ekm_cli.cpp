@@ -471,45 +471,36 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--sim supports nr|bklw|jl+bklw|stream\n");
     return 2;
   }
-  if (args->deadline_set && args->sim.empty()) {
-    std::fprintf(stderr, "--deadline needs --sim (deadlines live on the "
-                         "simulator's virtual clock)\n");
-    return 2;
-  }
-  if (!args->retry.empty() && args->sim.empty()) {
-    std::fprintf(stderr, "--retry needs --sim (retransmission policies live "
-                         "on the simulated radio)\n");
-    return 2;
-  }
-  if (args->overlap && args->sim.empty()) {
-    std::fprintf(stderr, "--overlap needs --sim (phase overlap lives on the "
-                         "simulator's virtual clock)\n");
-    return 2;
-  }
-  if (args->pipeline && args->sim.empty()) {
-    std::fprintf(stderr, "--pipeline needs --sim (cross-round pipelining "
-                         "lives on the simulator's virtual clock)\n");
-    return 2;
-  }
-  if (!args->trace_out.empty() && args->sim.empty()) {
-    std::fprintf(stderr, "--trace-out needs --sim (the trace's timelines are "
-                         "the simulator's virtual clocks)\n");
-    return 2;
-  }
-  if (!args->metrics_out.empty() && args->sim.empty()) {
-    std::fprintf(stderr, "--metrics-out needs --sim (metric snapshots close "
-                         "with the simulator's collection rounds)\n");
-    return 2;
-  }
-  if (args->event_log_set && args->sim.empty()) {
-    std::fprintf(stderr, "--event-log needs --sim (it caps the simulator's "
-                         "retained event trace)\n");
-    return 2;
-  }
-  if (!args->explain.empty() && args->sim.empty()) {
-    std::fprintf(stderr, "--explain needs --sim (attribution replays the "
-                         "simulator's recorded server-clock operations)\n");
-    return 2;
+  // Flags that only mean something on the simulator, with the reason.
+  struct SimOnlyFlag {
+    bool set;
+    const char* flag;
+    const char* reason;
+  };
+  const SimOnlyFlag sim_only[] = {
+      {args->deadline_set, "--deadline",
+       "deadlines live on the simulator's virtual clock"},
+      {!args->retry.empty(), "--retry",
+       "retransmission policies live on the simulated radio"},
+      {args->overlap, "--overlap",
+       "phase overlap lives on the simulator's virtual clock"},
+      {args->pipeline, "--pipeline",
+       "cross-round pipelining lives on the simulator's virtual clock"},
+      {!args->trace_out.empty(), "--trace-out",
+       "the trace's timelines are the simulator's virtual clocks"},
+      {!args->metrics_out.empty(), "--metrics-out",
+       "metric snapshots close with the simulator's collection rounds"},
+      {args->event_log_set, "--event-log",
+       "it caps the simulator's retained event trace"},
+      {!args->explain.empty(), "--explain",
+       "attribution replays the simulator's recorded server-clock "
+       "operations"},
+  };
+  for (const SimOnlyFlag& f : sim_only) {
+    if (f.set && args->sim.empty()) {
+      std::fprintf(stderr, "%s needs --sim (%s)\n", f.flag, f.reason);
+      return 2;
+    }
   }
 
   const Dataset data = make_input(*args);
