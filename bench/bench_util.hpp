@@ -5,8 +5,7 @@
 //   --full        paper-scale parameters (slow; default is laptop scale)
 //   --mc N        Monte-Carlo repetitions (default depends on the bench)
 //   --seed S      master seed
-// The benches print the same rows/series as the paper's tables/figures;
-// EXPERIMENTS.md records the expected shapes.
+// The benches print the same rows/series as the paper's tables/figures.
 #pragma once
 
 #include <algorithm>
@@ -22,6 +21,7 @@
 #include "common/stats.hpp"
 #include "core/experiment.hpp"
 #include "data/loaders.hpp"
+#include "obs/json_util.hpp"
 #include "obs/recorder.hpp"
 
 namespace ekm::bench {
@@ -95,33 +95,11 @@ inline bool parse_meta_pair(const char* value, MetaPairs& meta) {
   return true;
 }
 
-/// Minimal JSON string escaping for provenance values (compiler flag
-/// strings can contain quotes and backslashes).
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Writes `"provenance": {...},` (with trailing comma + newline) if any
 /// --meta pairs were given; writes nothing otherwise, so benches run
-/// without run_bench.sh emit byte-identical JSON to before.
+/// without run_bench.sh emit byte-identical JSON to before. Keys and
+/// values go through the shared ekm::json_escape (compiler flag strings
+/// can contain quotes and backslashes).
 inline void write_provenance(std::FILE* f, const MetaPairs& meta,
                              const char* indent) {
   if (meta.empty()) return;

@@ -169,7 +169,9 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
               Fabric& net, Stopwatch& device_work, std::uint64_t seed) {
   EKM_EXPECTS(!parts.empty());
   EKM_EXPECTS(parts.size() == net.num_sources());
-  EKM_EXPECTS(opts.total_samples >= parts.size());
+  EKM_EXPECTS_MSG(opts.total_samples >= parts.size(),
+                  "coreset_size (--coreset-size) must be >= the number of "
+                  "sources");
   EKM_EXPECTS_MSG(opts.realloc_reserve >= 0.0 && opts.realloc_reserve < 1.0,
                   "realloc_reserve must be in [0, 1)");
   const std::size_t m = parts.size();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "cr/coreset.hpp"
 #include "data/generators.hpp"
@@ -131,6 +132,24 @@ TEST(DisSs, ProtocolLedger) {
   EXPECT_EQ(net.total_uplink().messages, 6u);
   // Per source: 1 allocation scalar downlink.
   EXPECT_EQ(net.total_downlink().messages, 3u);
+}
+
+TEST(DisSs, BudgetBelowFleetSizeIsRejectedNamingTheFlag) {
+  // A sample budget smaller than the fleet cannot give every source a
+  // sample; it must be a named precondition, not a crash.
+  const std::vector<Dataset> parts = make_parts(300, 6, 2, 6, 93);
+  Network net(6);
+  Stopwatch work;
+  DisSsOptions opts;
+  opts.k = 2;
+  opts.total_samples = 5;
+  try {
+    (void)disss(parts, opts, net, work, 94);
+    FAIL() << "expected precondition_error";
+  } catch (const precondition_error& e) {
+    EXPECT_NE(std::string(e.what()).find("coreset_size"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(DisSs, AllocationProportionalToCost) {

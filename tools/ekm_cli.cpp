@@ -670,12 +670,22 @@ int main(int argc, char** argv) {
                     "\n"
               : render_explain_text(attribution);
     }
-  } else if (args->sources > 1) {
-    Rng rng = make_rng(args->seed, 0x9a87ULL);
-    const std::vector<Dataset> parts = partition_random(data, args->sources, rng);
-    res = run_distributed_pipeline(*kind, parts, cfg);
   } else {
-    res = run_pipeline(*kind, data, cfg);
+    // Configuration errors (e.g. a --coreset-size below the number of
+    // sources) are usage errors here too: exit 2 like the sim path.
+    try {
+      if (args->sources > 1) {
+        Rng rng = make_rng(args->seed, 0x9a87ULL);
+        const std::vector<Dataset> parts =
+            partition_random(data, args->sources, rng);
+        res = run_distributed_pipeline(*kind, parts, cfg);
+      } else {
+        res = run_pipeline(*kind, data, cfg);
+      }
+    } catch (const precondition_error& e) {
+      std::fprintf(stderr, "bad pipeline setup: %s\n", e.what());
+      return 2;
+    }
   }
 
   const double cost = kmeans_cost(data, res.centers);

@@ -11,14 +11,13 @@
 #   --list prints the splice-able --only section names, one per line,
 #   and exits (it asks the bench binary itself, so the list can never
 #   drift from what --only accepts).
-#   --only SWEEP re-runs a single BENCH_sim.json sweep (cells |
-#   deadline_sweep | realloc_sweep | overlap_sweep | pipeline_sweep |
-#   churn_sweep | fleet_scale_sweep | attribution) and splices that section — plus fresh
-#   provenance — into the existing BENCH_sim.json, leaving every other
-#   section's bytes untouched (each bench cell is independent of which
-#   other sections ran, so the splice equals a full run byte for
-#   byte). Requires an existing BENCH_sim.json (run the full bench
-#   once first) and skips BENCH_assign.json entirely.
+#   --only SWEEP re-runs a single BENCH_sim.json sweep (one of the
+#   --list names) and splices that section — plus fresh provenance —
+#   into the existing BENCH_sim.json, leaving every other section's
+#   bytes untouched (each bench cell is independent of which other
+#   sections ran, so the splice equals a full run byte for byte).
+#   Requires an existing BENCH_sim.json (run the full bench once first)
+#   and skips BENCH_assign.json entirely.
 #
 # Each bench writes to a temp file that is moved into place only after
 # the binary exits cleanly: a crashing bench fails this script loudly
