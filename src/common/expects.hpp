@@ -23,18 +23,36 @@ class invariant_error : public std::logic_error {
 
 namespace detail {
 
+/// Last path component of __FILE__, so messages do not carry build paths.
+[[nodiscard]] inline const char* file_basename(const char* path) {
+  const char* base = path;
+  for (const char* p = path; *p != '\0'; ++p) {
+    if (*p == '/' || *p == '\\') base = p + 1;
+  }
+  return base;
+}
+
+/// "<msg> (<kind> failed: <cond> at <file>:<line>)", or the parenthesized
+/// part alone when msg is empty: the caller's message leads, and the
+/// "<kind> failed: <cond>" fragment stays contiguous for log matchers.
+[[nodiscard]] inline std::string contract_message(const char* kind,
+                                                  const char* cond,
+                                                  const char* file, int line,
+                                                  const std::string& msg) {
+  std::string where = std::string(kind) + " failed: " + cond + " at " +
+                      file_basename(file) + ":" + std::to_string(line);
+  return msg.empty() ? where : msg + " (" + where + ")";
+}
+
 [[noreturn]] inline void fail_expects(const char* cond, const char* file,
                                       int line, const std::string& msg) {
-  throw precondition_error(std::string("precondition failed: ") + cond +
-                           " at " + file + ":" + std::to_string(line) +
-                           (msg.empty() ? "" : (" — " + msg)));
+  throw precondition_error(
+      contract_message("precondition", cond, file, line, msg));
 }
 
 [[noreturn]] inline void fail_ensures(const char* cond, const char* file,
                                       int line, const std::string& msg) {
-  throw invariant_error(std::string("invariant failed: ") + cond + " at " +
-                        file + ":" + std::to_string(line) +
-                        (msg.empty() ? "" : (" — " + msg)));
+  throw invariant_error(contract_message("invariant", cond, file, line, msg));
 }
 
 }  // namespace detail

@@ -4,36 +4,33 @@
 #include <cmath>
 #include <functional>
 #include <random>
-#include <thread>
 #include <vector>
+
+#include "common/parallel.hpp"
 
 namespace ekm {
 namespace {
 
-// Deterministic row-sliced parallel for: each worker owns a contiguous
-// range of output rows, so every output cell is computed by exactly one
-// thread with the same accumulation order as the serial loop.
+// Row-parallel driver for the products, on the shared pool
+// (common/parallel.hpp): every output row is written by one chunk of a
+// grid fixed by the shape, with the serial loop's accumulation order, so
+// results are bitwise independent of the pool width. Products under
+// ~4 MFLOP run inline; chunks carry at least ~1 MFLOP and there are at
+// most 16 of them, since matmul_at_b re-reads its inputs once per chunk.
 void parallel_rows(std::size_t rows, std::size_t flops_per_row,
                    const std::function<void(std::size_t, std::size_t)>& body) {
-  constexpr std::size_t kSerialFlops = 4u << 20;  // ~4 MFLOP: not worth threads
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t total = rows * std::max<std::size_t>(flops_per_row, 1);
-  if (hw == 1 || total < kSerialFlops) {
+  constexpr std::size_t kSerialFlops = 4u << 20;
+  constexpr std::size_t kChunkFlops = 1u << 20;
+  constexpr std::size_t kMaxChunks = 16;
+  const std::size_t per_row = std::max<std::size_t>(flops_per_row, 1);
+  if (rows * per_row < kSerialFlops) {
     body(0, rows);
     return;
   }
-  const std::size_t workers =
-      std::min<std::size_t>({hw, rows, 1 + total / kSerialFlops});
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  const std::size_t chunk = (rows + workers - 1) / workers;
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t begin = w * chunk;
-    const std::size_t end = std::min(rows, begin + chunk);
-    if (begin >= end) break;
-    threads.emplace_back([&, begin, end] { body(begin, end); });
-  }
-  for (std::thread& t : threads) t.join();
+  const std::size_t grain =
+      std::max((rows + kMaxChunks - 1) / kMaxChunks,
+               (kChunkFlops + per_row - 1) / per_row);
+  parallel_for(rows, grain, body);
 }
 
 }  // namespace

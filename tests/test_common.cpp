@@ -34,8 +34,25 @@ TEST(Expects, MessageNamesLocation) {
     FAIL() << "should have thrown";
   } catch (const precondition_error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("context info"), std::string::npos);
-    EXPECT_NE(what.find("test_common.cpp"), std::string::npos);
+    // The caller's message leads; the condition and location follow, with
+    // "precondition failed: <cond>" kept in one piece and the file named by
+    // its basename only.
+    EXPECT_EQ(what.rfind("context info", 0), 0u) << what;
+    const std::size_t cond = what.find("precondition failed: false at ");
+    ASSERT_NE(cond, std::string::npos) << what;
+    const std::size_t file = what.find("test_common.cpp:");
+    ASSERT_NE(file, std::string::npos) << what;
+    EXPECT_LT(cond, file) << what;
+    EXPECT_EQ(what.find('/'), std::string::npos) << what;
+  }
+  try {
+    EKM_ENSURES(1 + 1 == 3);
+    FAIL() << "should have thrown";
+  } catch (const invariant_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("invariant failed: 1 + 1 == 3 at test_common.cpp:", 0),
+              0u)
+        << what;
   }
 }
 

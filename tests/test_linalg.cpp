@@ -2,10 +2,15 @@
 // SVD, pseudoinverse, QR. Property suites sweep shapes via TEST_P.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
+#include <utility>
+#include <vector>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "eigen_oracle.hpp"
 #include "linalg/eigen_sym.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/svd.hpp"
@@ -51,6 +56,29 @@ TEST(Matrix, FusedTransposeProductsMatchExplicit) {
   EXPECT_LT(max_abs_diff(matmul_at_b(a, b), matmul(a.transposed(), b)), 1e-12);
   const Matrix c = Matrix::gaussian(5, 3, rng);
   EXPECT_LT(max_abs_diff(matmul_a_bt(a, c), matmul(a, c.transposed())), 1e-12);
+}
+
+TEST(Matrix, ProductsThreadCountInvariantBitwise) {
+  // Each product is well above the ~4 MFLOP inline cutoff, so the pool
+  // splits its output rows; every row keeps one owner and the serial
+  // accumulation order, whatever the pool width.
+  Rng rng = make_rng(3);
+  const Matrix a = Matrix::gaussian(300, 200, rng);
+  const Matrix b = Matrix::gaussian(200, 150, rng);
+  const Matrix c = Matrix::gaussian(300, 150, rng);
+  const Matrix d = Matrix::gaussian(150, 200, rng);
+  auto products = [&] {
+    return std::vector<Matrix>{matmul(a, b), matmul_at_b(a, c),
+                               matmul_a_bt(a, d)};
+  };
+  set_parallel_threads(1);
+  const std::vector<Matrix> one = products();
+  set_parallel_threads(4);
+  const std::vector<Matrix> four = products();
+  set_parallel_threads(0);
+  EXPECT_EQ(one, four);
+  EXPECT_LT(max_abs_diff(one[1], matmul(a.transposed(), c)), 1e-10);
+  EXPECT_LT(max_abs_diff(one[2], matmul(a, d.transposed())), 1e-10);
 }
 
 TEST(Matrix, RowRangeAndFirstCols) {
@@ -107,6 +135,20 @@ TEST(EigenSym, KnownTwoByTwo) {
   EXPECT_NEAR(std::fabs(eig.vectors(0, 0)), 1.0 / std::sqrt(2.0), 1e-12);
 }
 
+// ||V^T V - I||_F and ||V diag(values) V^T - A||_F / (1 + ||A||_F).
+std::pair<double, double> eigen_residuals(const Matrix& a,
+                                          const SymmetricEigen& eig) {
+  const std::size_t n = a.rows();
+  const Matrix vtv = matmul_at_b(eig.vectors, eig.vectors);
+  Matrix vl = eig.vectors;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) vl(i, j) *= eig.values[j];
+  }
+  const Matrix rec = matmul_a_bt(vl, eig.vectors);
+  return {max_abs_diff(vtv, Matrix::identity(n)),
+          max_abs_diff(rec, a) / (1.0 + a.frobenius_norm())};
+}
+
 class EigenSymProperty : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(EigenSymProperty, ReconstructionOrthogonalityAndOrdering) {
@@ -122,36 +164,153 @@ TEST_P(EigenSymProperty, ReconstructionOrthogonalityAndOrdering) {
   }
   EXPECT_GE(eig.values[n - 1], -1e-8 * eig.values[0]);
 
-  // V^T V = I.
-  const Matrix vtv = matmul_at_b(eig.vectors, eig.vectors);
-  EXPECT_LT(max_abs_diff(vtv, Matrix::identity(n)), 1e-9);
-
-  // A = V diag(λ) V^T.
-  Matrix vl = eig.vectors;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) vl(i, j) *= eig.values[j];
-  }
-  const Matrix rec = matmul_a_bt(vl, eig.vectors);
-  EXPECT_LT(max_abs_diff(rec, sym), 1e-8 * (1.0 + sym.frobenius_norm()));
+  // V^T V = I and A = V diag(λ) V^T.
+  const auto [orth, rec] = eigen_residuals(sym, eig);
+  EXPECT_LT(orth, 1e-9);
+  EXPECT_LT(rec, 1e-8);
 }
 
 TEST_P(EigenSymProperty, JacobiOracleAgrees) {
   const std::size_t n = GetParam();
-  if (n > 24) GTEST_SKIP() << "Jacobi oracle kept small";
+  if (n > 64) GTEST_SKIP() << "Jacobi oracle kept small";
   Rng rng = make_rng(2000 + n);
   const Matrix a = Matrix::gaussian(n + 1, n, rng);
   const Matrix sym = matmul_at_b(a, a);
   const SymmetricEigen fast = eigen_symmetric(sym);
-  const SymmetricEigen oracle = eigen_symmetric_jacobi(sym);
+  const SymmetricEigen oracle = test::jacobi_eigen(sym);
+  const double lmax = std::fabs(oracle.values[0]);
   for (std::size_t j = 0; j < n; ++j) {
-    EXPECT_NEAR(fast.values[j], oracle.values[j],
-                1e-8 * (1.0 + std::fabs(oracle.values[0])));
+    EXPECT_NEAR(fast.values[j], oracle.values[j], 1e-10 * lmax) << "j=" << j;
+  }
+  // Vectors agree up to sign, to within the perturbation bound
+  // eps * ||A|| / gap of each eigenvalue's separation from its neighbours.
+  for (std::size_t j = 0; j < n; ++j) {
+    double gap = lmax;
+    if (j > 0) gap = std::min(gap, oracle.values[j - 1] - oracle.values[j]);
+    if (j + 1 < n) gap = std::min(gap, oracle.values[j] - oracle.values[j + 1]);
+    if (gap < 1e-6 * lmax) continue;
+    double dot_fo = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      dot_fo += fast.vectors(i, j) * oracle.vectors(i, j);
+    }
+    const double sign = dot_fo >= 0.0 ? 1.0 : -1.0;
+    double diff = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double dv = fast.vectors(i, j) - sign * oracle.vectors(i, j);
+      diff += dv * dv;
+    }
+    EXPECT_LT(std::sqrt(diff), 1e-10 * lmax / gap + 1e-13) << "j=" << j;
   }
 }
 
+TEST_P(EigenSymProperty, ThreadCountInvariantBitwise) {
+  const std::size_t n = GetParam();
+  Rng rng = make_rng(3000 + n);
+  const Matrix a = Matrix::gaussian(n + 7, n, rng);
+  const Matrix sym = matmul_at_b(a, a);
+  set_parallel_threads(1);
+  const SymmetricEigen one = eigen_symmetric(sym);
+  set_parallel_threads(4);
+  const SymmetricEigen four = eigen_symmetric(sym);
+  set_parallel_threads(0);
+  EXPECT_EQ(one.values, four.values);
+  EXPECT_EQ(one.vectors, four.vectors);
+}
+
+TEST_P(EigenSymProperty, ZeroMatrix) {
+  const std::size_t n = GetParam();
+  const SymmetricEigen eig = eigen_symmetric(Matrix(n, n));
+  for (double v : eig.values) EXPECT_EQ(v, 0.0);
+  // The transform stays a permutation (ties sort in any order).
+  EXPECT_EQ(matmul_at_b(eig.vectors, eig.vectors), Matrix::identity(n));
+}
+
+TEST_P(EigenSymProperty, DiagonalInputIsExact) {
+  // Every Householder step sees a zero row (the scale == 0 branch), so the
+  // transform stays the identity and the values come back untouched.
+  const std::size_t n = GetParam();
+  Matrix m(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    m(i, i) = static_cast<double>((7 * i) % n) - 0.5 * static_cast<double>(n);
+  }
+  const SymmetricEigen eig = eigen_symmetric(m);
+  for (std::size_t j = 0; j < n; ++j) {
+    EXPECT_EQ(eig.values[j], 0.5 * static_cast<double>(n) - 1.0 -
+                                 static_cast<double>(j))
+        << "j=" << j;
+    std::size_t ones = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double v = eig.vectors(i, j);
+      EXPECT_TRUE(v == 0.0 || v == 1.0);
+      if (v == 1.0) {
+        ++ones;
+        EXPECT_EQ(m(i, i), eig.values[j]);
+      }
+    }
+    EXPECT_EQ(ones, 1u);
+  }
+}
+
+TEST_P(EigenSymProperty, RepeatedEigenvalues) {
+  // A = Q diag(5,..,5, 2,..,2, -1,..,-1) Q^T with thirds of the spectrum
+  // tied: each eigenspace is recovered as a projector, not as vectors.
+  const std::size_t n = GetParam();
+  Rng rng = make_rng(5000 + n);
+  const Matrix q = householder_q(Matrix::gaussian(n, n, rng));
+  const double level[3] = {5.0, 2.0, -1.0};
+  auto band = [n](std::size_t j) { return std::min<std::size_t>(3 * j / n, 2); };
+  Matrix ql = q;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) ql(i, j) *= level[band(j)];
+  }
+  const Matrix sym = matmul_a_bt(ql, q);
+  const SymmetricEigen eig = eigen_symmetric(sym);
+  for (std::size_t j = 0; j < n; ++j) {
+    EXPECT_NEAR(eig.values[j], level[band(j)], 1e-12 * static_cast<double>(n))
+        << "j=" << j;
+  }
+  for (std::size_t b = 0; b < 3; ++b) {
+    Matrix pv(n, n);
+    Matrix pq(n, n);
+    for (std::size_t j = 0; j < n; ++j) {
+      if (band(j) != b) continue;
+      for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < n; ++c) {
+          pv(r, c) += eig.vectors(r, j) * eig.vectors(c, j);
+          pq(r, c) += q(r, j) * q(c, j);
+        }
+      }
+    }
+    EXPECT_LT(max_abs_diff(pv, pq), 1e-11 * static_cast<double>(n)) << "band " << b;
+  }
+  const auto [orth, rec] = eigen_residuals(sym, eig);
+  EXPECT_LT(orth, 1e-11);
+  EXPECT_LT(rec, 1e-12);
+}
+
+TEST_P(EigenSymProperty, RankDeficientGram) {
+  // G = B^T B with B of rank n/4: the trailing 3n/4 eigenvalues are zero
+  // up to rounding, and the factorization still holds.
+  const std::size_t n = GetParam();
+  const std::size_t rank = std::max<std::size_t>(1, n / 4);
+  Rng rng = make_rng(6000 + n);
+  const Matrix b = Matrix::gaussian(rank, n, rng);
+  const Matrix gram = matmul_at_b(b, b);
+  const SymmetricEigen eig = eigen_symmetric(gram);
+  EXPECT_GT(eig.values[rank - 1], 1e-3 * eig.values[0]);
+  for (std::size_t j = rank; j < n; ++j) {
+    EXPECT_LT(std::fabs(eig.values[j]), 1e-12 * eig.values[0]) << "j=" << j;
+  }
+  const auto [orth, rec] = eigen_residuals(gram, eig);
+  EXPECT_LT(orth, 1e-11);
+  EXPECT_LT(rec, 1e-12);
+}
+
+// 300 is above the solver's inline threshold (order 128), so its
+// pool-parallel loops run as well as the inline ones.
 INSTANTIATE_TEST_SUITE_P(Sizes, EigenSymProperty,
                          ::testing::Values<std::size_t>(1, 2, 3, 5, 8, 13, 24,
-                                                        40, 64));
+                                                        40, 64, 300));
 
 TEST(EigenSym, RejectsNonSquare) {
   EXPECT_THROW((void)eigen_symmetric(Matrix(2, 3)), precondition_error);
