@@ -10,27 +10,17 @@ PcaProjection pca_project(const Dataset& data, std::size_t t) {
   const std::size_t r = std::min({t, data.size(), data.dim()});
   EKM_EXPECTS_MSG(r >= 1, "PCA target dimension must be >= 1");
 
-  Svd svd = thin_svd(data.points());
+  RightSvd svd = right_svd(data.points(), r);
   PcaProjection out;
   // Residual energy = sum of squared singular values beyond t.
-  for (std::size_t j = r; j < svd.rank(); ++j) {
+  for (std::size_t j = r; j < svd.sigma.size(); ++j) {
     out.residual_sq += svd.sigma[j] * svd.sigma[j];
   }
-  svd.truncate(r);
   out.map = LinearMap(svd.v);  // d x r
   Matrix coords = matmul(data.points(), svd.v);
   out.coords = data.is_weighted() ? Dataset(std::move(coords), *data.weights())
                                   : Dataset(std::move(coords));
   return out;
-}
-
-Dataset pca_project_within(const PcaProjection& pca) {
-  // Ā = (A V_t) V_t^T — lift the coordinates back with the basis itself
-  // (V_t is orthonormal, so V_t^T is its pseudoinverse).
-  Matrix ambient = matmul_a_bt(pca.coords.points(), pca.map.projection());
-  return pca.coords.is_weighted()
-             ? Dataset(std::move(ambient), *pca.coords.weights())
-             : Dataset(std::move(ambient));
 }
 
 std::size_t fss_intrinsic_dim(std::size_t k, double epsilon, std::size_t n,

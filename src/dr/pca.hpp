@@ -1,15 +1,13 @@
 // PCA-based dimensionality reduction (§2 "feature extraction", and the
 // intrinsic-dimension reduction step of FSS / disPCA).
 //
-// Two flavours are needed by the paper's algorithms:
-//  * `pca_map` — a LinearMap onto the top-t right singular vectors
-//    (coordinates in R^t); transmitting its output requires also
-//    transmitting the basis, which is what makes FSS's communication cost
-//    linear in d (Theorem 4.1).
-//  * `pca_project_within` — Ā = A V_t V_t^T: points stay in R^d but lie
-//    in the t-dimensional principal subspace (the form used in Theorem
-//    5.1 and in FSS's intrinsic-dimension reduction), together with the
-//    squared projection residual that becomes the coreset's Δ term.
+// `pca_project` gives the paper's algorithms a LinearMap onto the top-t
+// right singular vectors (coordinates in R^t; transmitting its output
+// requires also transmitting the basis, which is what makes FSS's
+// communication cost linear in d, Theorem 4.1), together with the squared
+// projection residual that becomes the coreset's Δ term (Theorem 5.1).
+// The ambient form Ā = A V_t V_t^T of Theorem 5.1 is the coordinates
+// lifted by V_t^T; the tests keep it as an oracle (tests/pca_oracle.hpp).
 #pragma once
 
 #include <cstddef>
@@ -28,11 +26,11 @@ struct PcaProjection {
                           ///< constant of Definition 3.2 / Theorem 5.1
 };
 
-/// Exact PCA via thin SVD. `t` is clamped to min(n, d). O(nd min(n, d)).
+/// Exact PCA. `t` is clamped to min(n, d). O(nd min(n, d)): one Gram
+/// eigendecomposition (`right_svd`, which forms V_t and the spectrum but
+/// not U) and the coordinates A V_t. Bitwise equal to thin_svd, the
+/// residual over sigma[t:], truncate(t) and matmul(A, V_t).
 [[nodiscard]] PcaProjection pca_project(const Dataset& data, std::size_t t);
-
-/// Ā = A V_t V_t^T in the ambient space (rows still d-dimensional).
-[[nodiscard]] Dataset pca_project_within(const PcaProjection& pca);
 
 /// FSS/disPCA intrinsic dimension t1 = t2 = k + ceil(4k/ε²) - 1
 /// (Theorem 5.1), clamped to the data's rank bound.

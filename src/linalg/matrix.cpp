@@ -17,11 +17,12 @@ namespace {
 // results are bitwise independent of the pool width. Products under
 // ~4 MFLOP run inline; chunks carry at least ~1 MFLOP and there are at
 // most 16 of them, since matmul_at_b re-reads its inputs once per chunk.
+constexpr std::size_t kSerialFlops = 4u << 20;
+constexpr std::size_t kChunkFlops = 1u << 20;
+constexpr std::size_t kMaxChunks = 16;
+
 void parallel_rows(std::size_t rows, std::size_t flops_per_row,
                    const std::function<void(std::size_t, std::size_t)>& body) {
-  constexpr std::size_t kSerialFlops = 4u << 20;
-  constexpr std::size_t kChunkFlops = 1u << 20;
-  constexpr std::size_t kMaxChunks = 16;
   const std::size_t per_row = std::max<std::size_t>(flops_per_row, 1);
   if (rows * per_row < kSerialFlops) {
     body(0, rows);
@@ -31,6 +32,66 @@ void parallel_rows(std::size_t rows, std::size_t flops_per_row,
       std::max((rows + kMaxChunks - 1) / kMaxChunks,
                (kChunkFlops + per_row - 1) / per_row);
   parallel_for(rows, grain, body);
+}
+
+// Upper-triangle driver for the symmetric Gram kernels: row i of an
+// order-m output owns cells [i, m), each costing `flops_per_cell`. The
+// rows are cut into contiguous ranges of about equal triangle area, on a
+// grid fixed by (m, flops_per_cell) with parallel_rows' inline threshold
+// and chunk bounds, so the result is bitwise independent of the pool
+// width. The caller mirrors the upper triangle afterwards.
+void parallel_upper_rows(
+    std::size_t m, std::size_t flops_per_cell,
+    const std::function<void(std::size_t, std::size_t)>& body) {
+  const std::size_t per_cell = std::max<std::size_t>(flops_per_cell, 1);
+  const std::size_t total = m * (m + 1) / 2 * per_cell;
+  if (total < kSerialFlops) {
+    body(0, m);
+    return;
+  }
+  const std::size_t chunks =
+      std::min(kMaxChunks, (total + kChunkFlops - 1) / kChunkFlops);
+  std::vector<std::size_t> bounds{0};
+  std::size_t done = 0;
+  for (std::size_t i = 0; i < m && bounds.size() < chunks; ++i) {
+    done += (m - i) * per_cell;
+    if (done * chunks >= bounds.size() * total) bounds.push_back(i + 1);
+  }
+  if (bounds.back() < m) bounds.push_back(m);
+  parallel_for(bounds.size() - 1, 1, [&](std::size_t c0, std::size_t c1) {
+    for (std::size_t c = c0; c < c1; ++c) body(bounds[c], bounds[c + 1]);
+  });
+}
+
+// Copies the strict upper triangle of a square matrix onto the lower, in
+// square tiles so neither side is walked with a whole-row stride.
+void mirror_upper(Matrix& c) {
+  constexpr std::size_t kTile = 32;
+  const std::size_t m = c.rows();
+  for (std::size_t i0 = 0; i0 < m; i0 += kTile) {
+    const std::size_t i1 = std::min(i0 + kTile, m);
+    for (std::size_t j0 = i0; j0 < m; j0 += kTile) {
+      const std::size_t j1 = std::min(j0 + kTile, m);
+      for (std::size_t i = i0; i < i1; ++i) {
+        for (std::size_t j = std::max(j0, i + 1); j < j1; ++j) {
+          c.at_unchecked(j, i) = c.at_unchecked(i, j);
+        }
+      }
+    }
+  }
+}
+
+// ci[j] += x[0]*b[0][j], then x[1]*b[1][j], ... for j in [j0, d): M
+// consecutive rank-1 updates of matmul_at_b, fused so ci is loaded and
+// stored once per M updates instead of once per update.
+template <int M>
+void fused_row_updates(double* ci, const double* const* b, const double* x,
+                       std::size_t j0, std::size_t d) {
+  for (std::size_t j = j0; j < d; ++j) {
+    double s = ci[j];
+    for (int q = 0; q < M; ++q) s += x[q] * b[q][j];
+    ci[j] = s;
+  }
 }
 
 }  // namespace
@@ -160,6 +221,77 @@ Matrix matmul_a_bt(const Matrix& a, const Matrix& b) {
                     }
                   }
                 });
+  return c;
+}
+
+Matrix gram_at_a(const Matrix& a) {
+  const std::size_t n = a.rows(), d = a.cols();
+  Matrix c(d, d);
+  // matmul_at_b(a, a)'s loop restricted to j >= i, taking the rows p four
+  // at a time: each cell still sums over p ascending and skips the same
+  // zero factors.
+  constexpr std::size_t kRows = 4;
+  parallel_upper_rows(d, 2 * n, [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t p0 = 0; p0 < n; p0 += kRows) {
+      const std::size_t p1 = std::min(p0 + kRows, n);
+      for (std::size_t i = r0; i < r1; ++i) {
+        double x[kRows] = {};
+        const double* b[kRows] = {};
+        int m = 0;
+        for (std::size_t p = p0; p < p1; ++p) {
+          const double* ap = a.row_ptr(p);
+          if (ap[i] == 0.0) continue;
+          x[m] = ap[i];
+          b[m] = ap;
+          ++m;
+        }
+        double* ci = c.row_ptr(i);
+        switch (m) {
+          case 4: fused_row_updates<4>(ci, b, x, i, d); break;
+          case 3: fused_row_updates<3>(ci, b, x, i, d); break;
+          case 2: fused_row_updates<2>(ci, b, x, i, d); break;
+          case 1: fused_row_updates<1>(ci, b, x, i, d); break;
+          default: break;
+        }
+      }
+    }
+  });
+  mirror_upper(c);
+  return c;
+}
+
+Matrix gram_a_at(const Matrix& a) {
+  const std::size_t n = a.rows(), d = a.cols();
+  Matrix c(n, n);
+  // Each cell is dot(row i, row j) in k order, as in matmul_a_bt(a, a);
+  // four cells of a row run side by side so their chains overlap.
+  parallel_upper_rows(n, 2 * d, [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t i = r0; i < r1; ++i) {
+      const double* ai = a.row_ptr(i);
+      double* ci = c.row_ptr(i);
+      std::size_t j = i;
+      for (; j + 4 <= n; j += 4) {
+        const double* b0 = a.row_ptr(j);
+        const double* b1 = a.row_ptr(j + 1);
+        const double* b2 = a.row_ptr(j + 2);
+        const double* b3 = a.row_ptr(j + 3);
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        for (std::size_t k = 0; k < d; ++k) {
+          const double x = ai[k];
+          s0 += x * b0[k];
+          s1 += x * b1[k];
+          s2 += x * b2[k];
+          s3 += x * b3[k];
+        }
+        ci[j] = s0;
+        ci[j + 1] = s1;
+        ci[j + 2] = s2;
+        ci[j + 3] = s3;
+      }
+      for (; j < n; ++j) ci[j] = dot(a.row(i), a.row(j));
+    }
+  });
+  mirror_upper(c);
   return c;
 }
 

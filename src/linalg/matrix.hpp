@@ -114,6 +114,15 @@ class Matrix {
 /// C = A * B^T without materializing B^T.
 [[nodiscard]] Matrix matmul_a_bt(const Matrix& a, const Matrix& b);
 
+/// Symmetric Gram products A^T A (d x d) and A A^T (n x n). Each forms
+/// the upper triangle and mirrors it, with about half the arithmetic of
+/// the general product. Every cell keeps the accumulation order of
+/// matmul_at_b(a, a) and matmul_a_bt(a, a) respectively, so the results
+/// are bitwise equal to those products on finite input (barring products
+/// that underflow to a signed zero).
+[[nodiscard]] Matrix gram_at_a(const Matrix& a);
+[[nodiscard]] Matrix gram_a_at(const Matrix& a);
+
 /// y = A * x.
 [[nodiscard]] std::vector<double> matvec(const Matrix& a,
                                          std::span<const double> x);

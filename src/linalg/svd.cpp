@@ -44,15 +44,65 @@ double gram_noise_floor(double lambda_max, std::size_t dim) {
          static_cast<double>(std::max<std::size_t>(dim, 1)) * lambda_max;
 }
 
-}  // namespace
+// The one Gram-route SVD behind thin_svd, truncated_svd and right_svd.
+// Eigendecomposes A^T A (d <= n) or A A^T (n < d), reports the whole
+// spectrum with values at or below the noise tolerance as exact zeros,
+// and forms the first t columns of V and, when `with_u`, of U. The
+// recovered factor (U = A V / sigma, or V = A^T U / sigma) is built for
+// those t columns only: column j of the product does not depend on how
+// many columns are formed, and orthonormalize_column fills the columns
+// in ascending order from one RNG stream, so the t columns are bitwise
+// those of the full decomposition.
+Svd gram_svd(const Matrix& a, std::size_t t, bool with_u) {
+  EKM_EXPECTS_MSG(!a.empty(), "thin_svd of empty matrix");
+  const std::size_t n = a.rows();
+  const std::size_t d = a.cols();
+  const std::size_t r = std::min(n, d);
+  EKM_EXPECTS(t <= r);
+  const bool gram_of_columns = d <= n;  // the eigenvectors are V, else U
 
-Matrix Svd::reconstruct() const {
-  Matrix us = u;  // scale columns of U by sigma
-  for (std::size_t i = 0; i < us.rows(); ++i) {
-    for (std::size_t j = 0; j < us.cols(); ++j) us(i, j) *= sigma[j];
+  const SymmetricEigen eig =
+      eigen_symmetric(gram_of_columns ? gram_at_a(a) : gram_a_at(a));
+  Svd out;
+  out.sigma.resize(r);
+  for (std::size_t j = 0; j < r; ++j) {
+    out.sigma[j] = std::sqrt(std::max(eig.values[j], 0.0));
   }
-  return matmul_a_bt(us, v);
+  const double smax2 = std::max(eig.values[0], 0.0);
+  const double tol = std::max(1e-8 * std::sqrt(smax2),
+                              std::sqrt(gram_noise_floor(smax2, r)));
+
+  Matrix eigen_side = eig.vectors.first_cols(t);
+  Matrix recovered;
+  if (with_u || !gram_of_columns) {
+    recovered = gram_of_columns ? matmul(a, eigen_side)
+                                : matmul_at_b(a, eigen_side);
+    Rng rng = make_rng(0x5bdULL, n * 1315423911ULL + d);
+    for (std::size_t j = 0; j < t; ++j) {
+      if (out.sigma[j] > tol) {
+        const double inv = 1.0 / out.sigma[j];
+        for (std::size_t i = 0; i < recovered.rows(); ++i) {
+          recovered(i, j) *= inv;
+        }
+      } else {
+        orthonormalize_column(recovered, j, rng);
+      }
+    }
+  }
+  for (double& s : out.sigma) {
+    if (!(s > tol)) s = 0.0;
+  }
+  if (gram_of_columns) {
+    out.v = std::move(eigen_side);
+    out.u = std::move(recovered);
+  } else {
+    out.v = std::move(recovered);
+    if (with_u) out.u = std::move(eigen_side);
+  }
+  return out;
 }
+
+}  // namespace
 
 void Svd::truncate(std::size_t t) {
   EKM_EXPECTS(t <= sigma.size());
@@ -62,66 +112,19 @@ void Svd::truncate(std::size_t t) {
 }
 
 Svd thin_svd(const Matrix& a) {
-  EKM_EXPECTS_MSG(!a.empty(), "thin_svd of empty matrix");
-  const std::size_t n = a.rows();
-  const std::size_t d = a.cols();
-  const std::size_t r = std::min(n, d);
-  Svd out;
-  Rng rng = make_rng(0x5bdULL, n * 1315423911ULL + d);
-
-  if (d <= n) {
-    // Eigen-decompose A^T A (d x d): V and sigma^2.
-    const Matrix gram = matmul_at_b(a, a);
-    SymmetricEigen eig = eigen_symmetric(gram);
-    out.v = eig.vectors.first_cols(r);
-    out.sigma.resize(r);
-    const double smax2 = std::max(eig.values.empty() ? 0.0 : eig.values[0], 0.0);
-    for (std::size_t j = 0; j < r; ++j) {
-      out.sigma[j] = std::sqrt(std::max(eig.values[j], 0.0));
-    }
-    // U = A V Sigma^{-1}.
-    out.u = matmul(a, out.v);
-    const double tol = std::max(1e-8 * std::sqrt(smax2),
-                                std::sqrt(gram_noise_floor(smax2, d)));
-    for (std::size_t j = 0; j < r; ++j) {
-      if (out.sigma[j] > tol) {
-        const double inv = 1.0 / out.sigma[j];
-        for (std::size_t i = 0; i < n; ++i) out.u(i, j) *= inv;
-      } else {
-        out.sigma[j] = 0.0;
-        orthonormalize_column(out.u, j, rng);
-      }
-    }
-  } else {
-    // n < d: eigen-decompose A A^T (n x n): U and sigma^2, V = A^T U / s.
-    const Matrix gram = matmul_a_bt(a, a);
-    SymmetricEigen eig = eigen_symmetric(gram);
-    out.u = eig.vectors.first_cols(r);
-    out.sigma.resize(r);
-    const double smax2 = std::max(eig.values.empty() ? 0.0 : eig.values[0], 0.0);
-    for (std::size_t j = 0; j < r; ++j) {
-      out.sigma[j] = std::sqrt(std::max(eig.values[j], 0.0));
-    }
-    out.v = matmul_at_b(a, out.u);
-    const double tol = std::max(1e-8 * std::sqrt(smax2),
-                                std::sqrt(gram_noise_floor(smax2, n)));
-    for (std::size_t j = 0; j < r; ++j) {
-      if (out.sigma[j] > tol) {
-        const double inv = 1.0 / out.sigma[j];
-        for (std::size_t i = 0; i < d; ++i) out.v(i, j) *= inv;
-      } else {
-        out.sigma[j] = 0.0;
-        orthonormalize_column(out.v, j, rng);
-      }
-    }
-  }
-  return out;
+  return gram_svd(a, std::min(a.rows(), a.cols()), true);
 }
 
 Svd truncated_svd(const Matrix& a, std::size_t t) {
-  Svd s = thin_svd(a);
-  s.truncate(std::min(t, s.rank()));
+  const std::size_t rank = std::min({t, a.rows(), a.cols()});
+  Svd s = gram_svd(a, rank, true);
+  s.sigma.resize(rank);
   return s;
+}
+
+RightSvd right_svd(const Matrix& a, std::size_t t) {
+  Svd s = gram_svd(a, std::min({t, a.rows(), a.cols()}), false);
+  return {std::move(s.sigma), std::move(s.v)};
 }
 
 Svd randomized_svd(const Matrix& a, std::size_t rank, Rng& rng,

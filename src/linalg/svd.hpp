@@ -2,10 +2,14 @@
 // pseudoinverse.
 //
 // Roles in the reproduction:
-//  * `thin_svd` — the "exact SVD" used by FSS (Theorem 3.2) and by each
-//    data source in disPCA (§5.1, step 1). Cost O(nd * min(n,d)),
-//    matching the complexity the paper charges those algorithms with.
-//  * `truncated_svd` — convenience wrapper keeping the top-t triple.
+//  * `thin_svd`, `truncated_svd`, `right_svd` — one "exact SVD" through
+//    the Gram matrix, cut to what each caller reads. Cost O(nd * min(n,d)),
+//    matching the complexity the paper charges FSS (Theorem 3.2) and
+//    disPCA (§5.1) with. `thin_svd` forms both whole factors (pseudoinverse
+//    and the tests); `truncated_svd` forms the top-t triple (disPCA's
+//    per-source and global SVDs); `right_svd` forms the whole spectrum
+//    and the top-t right singular vectors without U (FSS's
+//    `pca_project`).
 //  * `randomized_svd` — Halko-style sketch SVD; not used by the paper's
 //    algorithms (that would change their complexity) but provided for the
 //    ablation bench comparing exact vs sketched PCA inside FSS.
@@ -32,21 +36,33 @@ struct Svd {
   /// Number of retained components.
   [[nodiscard]] std::size_t rank() const { return sigma.size(); }
 
-  /// Reconstructs U diag(sigma) V^T (for tests / lift-backs).
-  [[nodiscard]] Matrix reconstruct() const;
-
   /// Keeps only the top-t components (t <= rank()).
   void truncate(std::size_t t);
 };
 
 /// Thin SVD via the Gram-matrix route: eigendecompose A^T A (d <= n) or
-/// A A^T (n < d) and recover the other factor. Accurate for the dominant
-/// part of the spectrum, which is all k-means PCA needs; components with
-/// sigma below ~1e-8 * sigma_max are orthogonalized rather than divided.
+/// A A^T (n < d), both formed by the symmetric Gram kernels, and recover
+/// the other factor. Accurate for the dominant part of the spectrum,
+/// which is all k-means PCA needs; components with sigma below
+/// ~1e-8 * sigma_max are reported as 0 and their factor columns are
+/// orthogonalized rather than divided.
 [[nodiscard]] Svd thin_svd(const Matrix& a);
 
-/// Top-t SVD. Computes the thin SVD and truncates.
+/// Top-t SVD (t clamped to min(n, d)) by the same Gram route, recovering
+/// only the t columns of the other factor that it returns. Bitwise equal
+/// to thin_svd(a) followed by truncate(t).
 [[nodiscard]] Svd truncated_svd(const Matrix& a, std::size_t t);
+
+/// The part of the SVD that PCA reads.
+struct RightSvd {
+  std::vector<double> sigma;  ///< all min(n, d) singular values, as thin_svd
+  Matrix v;                   ///< d x t: the top-t right singular vectors
+};
+
+/// Whole spectrum and top-t V (t clamped to min(n, d)) by the same Gram
+/// route, without forming U. Bitwise equal to thin_svd(a)'s sigma and the
+/// first t columns of its V.
+[[nodiscard]] RightSvd right_svd(const Matrix& a, std::size_t t);
 
 /// Randomized range-finder SVD (Halko–Martinsson–Tropp): rank + oversample
 /// Gaussian sketch, `power_iters` subspace iterations, small exact SVD.

@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "data/generators.hpp"
 #include "dr/jl.hpp"
 #include "dr/linear_map.hpp"
 #include "dr/pca.hpp"
 #include "kmeans/cost.hpp"
+#include "pca_oracle.hpp"
 
 namespace ekm {
 namespace {
@@ -160,13 +164,53 @@ TEST(Pca, ProjectWithinIsIdempotent) {
   Rng rng = make_rng(26);
   const Dataset d(Matrix::gaussian(40, 12, rng));
   const PcaProjection pca = pca_project(d, 4);
-  const Dataset within = pca_project_within(pca);
+  const Dataset within = test::project_within(pca);
   EXPECT_EQ(within.dim(), 12u);
   // Projecting again onto the same basis changes nothing.
   const Matrix again =
       matmul_a_bt(matmul(within.points(), pca.map.projection()),
                   pca.map.projection());
   EXPECT_LT(subtract(again, within.points()).frobenius_norm(), 1e-9);
+}
+
+TEST(Pca, ProjectEqualsThinSvdCompositionBitwise) {
+  // pca_project skips U and the unread columns of the recovered factor;
+  // coordinates, basis and residual must still equal the composition
+  // through the full thin SVD bit for bit, on both Gram sides, weighted
+  // or not. The rank-3 shapes have trailing singular values at rounding
+  // noise, which thin_svd reports as exact zeros: the residual over them
+  // must be exactly 0, not the noise.
+  struct Case {
+    std::size_t n, d, rank, t;
+    bool weighted;
+  };
+  Rng rng = make_rng(29);
+  for (const Case c :
+       {Case{80, 30, 30, 6, false}, Case{80, 30, 30, 6, true},
+        Case{30, 80, 30, 6, false}, Case{30, 80, 30, 6, true},
+        Case{40, 12, 3, 5, false}, Case{12, 40, 3, 5, true}}) {
+    const Matrix pts = matmul(Matrix::gaussian(c.n, c.rank, rng),
+                              Matrix::gaussian(c.rank, c.d, rng));
+    std::vector<double> w(c.n);
+    for (std::size_t i = 0; i < c.n; ++i) w[i] = 1.0 + static_cast<double>(i % 7);
+    const Dataset d = c.weighted ? Dataset(pts, w) : Dataset(pts);
+    const PcaProjection got = pca_project(d, c.t);
+    const PcaProjection want = test::pca_by_thin_svd(d, c.t);
+    SCOPED_TRACE(std::to_string(c.n) + "x" + std::to_string(c.d) +
+                 (c.weighted ? " weighted" : ""));
+    EXPECT_TRUE(test::bits_equal(got.coords.points(), want.coords.points()));
+    EXPECT_TRUE(test::bits_equal(got.map.projection(), want.map.projection()));
+    EXPECT_TRUE(test::bits_equal(std::span(&got.residual_sq, 1),
+                                 std::span(&want.residual_sq, 1)))
+        << got.residual_sq << " vs " << want.residual_sq;
+    EXPECT_EQ(got.coords.is_weighted(), c.weighted);
+    if (c.weighted) {
+      EXPECT_EQ(*got.coords.weights(), w);
+    }
+    if (c.rank < c.t) {
+      EXPECT_EQ(got.residual_sq, 0.0);
+    }
+  }
 }
 
 TEST(Pca, BasisOrthonormal) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "eigen_oracle.hpp"
+#include "pca_oracle.hpp"
 #include "linalg/eigen_sym.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/svd.hpp"
@@ -20,6 +22,11 @@ namespace {
 
 double max_abs_diff(const Matrix& a, const Matrix& b) {
   return subtract(a, b).frobenius_norm();
+}
+
+// n x d Gaussian entries of rank `rank` (an n x rank by rank x d product).
+Matrix low_rank(std::size_t n, std::size_t d, std::size_t rank, Rng& rng) {
+  return matmul(Matrix::gaussian(n, rank, rng), Matrix::gaussian(rank, d, rng));
 }
 
 TEST(Matrix, InitializerListAndAccess) {
@@ -47,6 +54,30 @@ TEST(Matrix, MatmulAgainstHandComputed) {
   EXPECT_DOUBLE_EQ(c(1, 0), 43.0);
   EXPECT_DOUBLE_EQ(c(1, 1), 50.0);
   EXPECT_THROW((void)matmul(a, Matrix(3, 3)), precondition_error);
+}
+
+TEST(Matrix, SymmetricGramEqualsGeneralProductBitwise) {
+  // 301 x 203 puts both Gram kernels above the ~4 MFLOP inline cutoff
+  // (A^T A ~12 MFLOP, A A^T ~18 MFLOP in the triangle), and 301 is not a
+  // multiple of A A^T's four-cell step. Zero entries exercise the
+  // zero-factor skip that A^T A shares with matmul_at_b.
+  Rng rng = make_rng(4);
+  Matrix a = Matrix::gaussian(301, 203, rng);
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      if ((i * 7 + j * 3) % 5 == 0) a(i, j) = 0.0;
+    }
+  }
+  for (const std::size_t width : {1u, 4u}) {
+    set_parallel_threads(width);
+    EXPECT_TRUE(test::bits_equal(gram_at_a(a), matmul_at_b(a, a))) << width;
+    EXPECT_TRUE(test::bits_equal(gram_a_at(a), matmul_a_bt(a, a))) << width;
+  }
+  set_parallel_threads(0);
+  // Below the cutoff the kernels run inline; same contract.
+  const Matrix small = Matrix::gaussian(9, 5, rng);
+  EXPECT_TRUE(test::bits_equal(gram_at_a(small), matmul_at_b(small, small)));
+  EXPECT_TRUE(test::bits_equal(gram_a_at(small), matmul_a_bt(small, small)));
 }
 
 TEST(Matrix, FusedTransposeProductsMatchExplicit) {
@@ -332,7 +363,7 @@ TEST_P(SvdProperty, ThinSvdAxioms) {
   ASSERT_EQ(s.rank(), r);
 
   // Reconstruction.
-  EXPECT_LT(max_abs_diff(s.reconstruct(), a),
+  EXPECT_LT(max_abs_diff(test::reconstruct(s), a),
             1e-9 * (1.0 + a.frobenius_norm()));
   // Orthonormal factors.
   EXPECT_LT(max_abs_diff(matmul_at_b(s.u, s.u), Matrix::identity(r)), 1e-9);
@@ -386,7 +417,7 @@ TEST(Svd, RankDeficientInput) {
   for (std::size_t j = 1; j < s.rank(); ++j) {
     EXPECT_LT(s.sigma[j], 1e-8 * s.sigma[0]);
   }
-  EXPECT_LT(max_abs_diff(s.reconstruct(), a), 1e-9 * (1.0 + a.frobenius_norm()));
+  EXPECT_LT(max_abs_diff(test::reconstruct(s), a), 1e-9 * (1.0 + a.frobenius_norm()));
   // Pseudoinverse of rank-deficient input still satisfies A A+ A = A.
   const Matrix ap = pseudoinverse(a);
   EXPECT_LT(max_abs_diff(matmul(matmul(a, ap), a), a),
@@ -408,8 +439,48 @@ TEST(Svd, TruncationKeepsTopComponents) {
   for (std::size_t j = 3; j < full.rank(); ++j) {
     tail += full.sigma[j] * full.sigma[j];
   }
-  const double err = subtract(trunc.reconstruct(), a).frobenius_norm();
+  const double err = subtract(test::reconstruct(trunc), a).frobenius_norm();
   EXPECT_NEAR(err * err, tail, 1e-6 * (1.0 + tail));
+}
+
+TEST(Svd, TopTRoutesEqualThinSvdBitwise) {
+  // truncated_svd and right_svd form only the columns they return; they
+  // must equal the full decomposition cut to t, bit for bit. The
+  // rank-deficient shapes (rank 3 < t) send columns 3..t-1 through the
+  // orthonormalize_column fallback and its RNG draws.
+  struct Case {
+    std::size_t n, d, rank, t;
+  };
+  Rng rng = make_rng(9);
+  for (const Case c : {Case{60, 25, 25, 7}, Case{25, 60, 25, 7},
+                       Case{40, 12, 3, 8}, Case{12, 40, 3, 8},
+                       Case{300, 200, 200, 20}}) {
+    const Matrix a = low_rank(c.n, c.d, c.rank, rng);
+    Svd full = thin_svd(a);
+    const std::vector<double> spectrum = full.sigma;
+    const Matrix v_all = full.v;
+    full.truncate(c.t);
+    const Svd top = truncated_svd(a, c.t);
+    const RightSvd right = right_svd(a, c.t);
+    SCOPED_TRACE(std::to_string(c.n) + "x" + std::to_string(c.d));
+    EXPECT_TRUE(test::bits_equal(top.sigma, full.sigma));
+    EXPECT_TRUE(test::bits_equal(top.u, full.u));
+    EXPECT_TRUE(test::bits_equal(top.v, full.v));
+    EXPECT_TRUE(test::bits_equal(right.sigma, spectrum));
+    EXPECT_TRUE(test::bits_equal(right.v, v_all.first_cols(c.t)));
+    if (c.rank < c.t) {
+      // The fallback columns are still orthonormal.
+      EXPECT_LT(max_abs_diff(matmul_at_b(top.u, top.u), Matrix::identity(c.t)),
+                1e-9);
+      EXPECT_LT(max_abs_diff(matmul_at_b(top.v, top.v), Matrix::identity(c.t)),
+                1e-9);
+      EXPECT_EQ(top.sigma[c.rank], 0.0);
+    }
+  }
+  // t beyond min(n, d) clamps, as truncate on the thin SVD would.
+  const Matrix a = Matrix::gaussian(6, 4, rng);
+  EXPECT_EQ(truncated_svd(a, 10).rank(), 4u);
+  EXPECT_EQ(right_svd(a, 10).v.cols(), 4u);
 }
 
 TEST(Svd, RandomizedSvdApproximatesDominantSpectrum) {
